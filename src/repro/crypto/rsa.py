@@ -25,10 +25,12 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.crypto.numbertheory import modular_inverse, random_prime_pair
+from repro.crypto.numbertheory import (
+    PUBLIC_EXPONENT,
+    modular_inverse,
+    random_prime_pair,
+)
 from repro.errors import CryptoError, SignatureError
-
-PUBLIC_EXPONENT = 65537
 
 _SIGNATURE_CACHE_MAX = 4096
 _signature_cache: "OrderedDict[tuple, bool]" = OrderedDict()
@@ -122,22 +124,23 @@ class RSAPrivateKey:
 
 
 def generate_keypair(bits: int = 1024) -> tuple[RSAPublicKey, RSAPrivateKey]:
-    """Generate an RSA key pair with a modulus of ``bits`` bits."""
+    """Generate an RSA key pair with a modulus of ``bits`` bits.
+
+    Both primes have their top two bits set, so ``p·q`` has exactly
+    ``bits`` bits, and neither is ≡ 1 (mod e), so e is invertible modulo
+    φ: the first pair drawn always makes a key.
+    """
     if bits < 256:
         raise CryptoError("modulus below 256 bits cannot hold a SHA-256 DigestInfo")
-    while True:
-        p, q = random_prime_pair(bits // 2)
-        modulus = p * q
-        phi = (p - 1) * (q - 1)
-        if phi % PUBLIC_EXPONENT == 0:
-            continue  # e must be invertible mod phi
-        if modulus.bit_length() < bits:
-            continue
-        d = modular_inverse(PUBLIC_EXPONENT, phi)
-        return (
-            RSAPublicKey(modulus, PUBLIC_EXPONENT),
-            RSAPrivateKey(modulus, d, p, q),
-        )
+    if bits % 2:
+        raise CryptoError("modulus size must be an even number of bits")
+    p, q = random_prime_pair(bits // 2)
+    modulus = p * q
+    d = modular_inverse(PUBLIC_EXPONENT, (p - 1) * (q - 1))
+    return (
+        RSAPublicKey(modulus, PUBLIC_EXPONENT),
+        RSAPrivateKey(modulus, d, p, q),
+    )
 
 
 def _emsa_pkcs1_encode(message: bytes, target_length: int) -> bytes:

@@ -79,21 +79,32 @@ def match(
     """One-way matching: bind variables of ``pattern`` only.
 
     Variables occurring in ``instance`` are treated as constants — they can
-    be matched by a pattern variable but never bound themselves.  This is
-    what fact indexing and release-policy template matching need.
+    be matched by a pattern variable but never bound themselves.  So a
+    pattern variable that is already bound is compared with the instance
+    subterm for equality, never walked through its binding: ``f(X, Y)``
+    against ``f(Y, X)`` binds ``X → Y`` and ``Y → X`` and stops.  When the
+    two terms share variables the result is meant to be applied in one
+    pass; :meth:`Substitution.resolve` follows chains and would loop on it.
+
+    No part of the library calls ``match``; it is public API only.
     """
     if subst is None:
         subst = Substitution.empty()
+    # This call's bindings.  They include X -> X when a pattern variable
+    # meets the instance variable of the same name, which ``subst`` cannot
+    # hold (walking it would never end), so those are left out at the end.
+    bindings: dict[Variable, Term] = {}
     stack: list[tuple[Term, Term]] = [(pattern, instance)]
     while stack:
         p, i = stack.pop()
-        p = subst.walk(p)
-        if p is i:
-            # Identical objects (common with interned ground terms) match
-            # with no bindings to add.
-            continue
         if isinstance(p, Variable):
-            subst = subst.bind(p, i)
+            bound = bindings.get(p)
+            if bound is None:
+                bound = subst.lookup(p)
+            if bound is None:
+                bindings[p] = i
+            elif bound != i:
+                return None
             continue
         if isinstance(i, Variable):
             return None
@@ -107,6 +118,9 @@ def match(
             stack.extend(zip(p.args, i.args))
             continue
         return None
+    for variable, term in bindings.items():
+        if variable != term:
+            subst = subst.bind(variable, term)
     return subst
 
 

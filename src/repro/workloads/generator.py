@@ -498,22 +498,24 @@ def build_bilateral_fleet(pair_count: int, key_bits: int = 512) -> FleetWorkload
     from repro.runtime import NegotiationSpec
 
     world = World(key_bits=key_bits)
-    specs = []
     for index in range(pair_count):
         world.add_peer(
             f"Server{index}",
             f'hello{index}(Requester) $ true <- '
             f'friend{index}(Requester) @ "CA{index}" @ Requester.')
-        client = world.add_peer(
+        world.add_peer(
             f"Client{index}",
             f'friend{index}(X) @ Y $ true <-{{true}} friend{index}(X) @ Y.')
         world.issuer(f"CA{index}")
-        world.distribute_keys()
+    # Once every principal exists, one pass gives each peer every key.
+    world.distribute_keys()
+    specs = []
+    for index in range(pair_count):
         world.give_credentials(
             f"Client{index}",
             f'friend{index}("Client{index}") signedBy ["CA{index}"].')
         specs.append(NegotiationSpec(
-            requester=client,
+            requester=world.peer(f"Client{index}"),
             provider=f"Server{index}",
             goal=parse_literal(f'hello{index}("Client{index}")'),
         ))

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import rsa
+from repro.crypto import numbertheory, rsa
 from repro.crypto.canonical import canonical_bytes, rule_signing_bytes
 from repro.crypto.keys import KeyPair, KeyRing, clear_key_cache, keypair_for
 from repro.datalog.parser import parse_literal, parse_rule, parse_term
@@ -57,6 +57,27 @@ class TestRSA:
     def test_key_generation_rejects_tiny_moduli(self):
         with pytest.raises(CryptoError):
             rsa.generate_keypair(128)
+
+    def test_key_generation_rejects_odd_modulus_size(self):
+        with pytest.raises(CryptoError):
+            rsa.generate_keypair(513)
+
+    def test_key_generation_draws_exactly_two_primes(self, monkeypatch):
+        drawn = []
+        real_random_prime = numbertheory.random_prime
+
+        def counting_random_prime(bits):
+            prime = real_random_prime(bits)
+            drawn.append(prime)
+            return prime
+
+        monkeypatch.setattr(numbertheory, "random_prime", counting_random_prime)
+        for keys in range(1, 6):
+            public, private = rsa.generate_keypair(KEY_BITS)
+            assert len(drawn) == 2 * keys
+            assert {private.prime_p, private.prime_q} == set(drawn[-2:])
+            assert public.modulus.bit_length() == KEY_BITS
+            assert public.byte_length == KEY_BITS // 8
 
     def test_verify_or_raise(self, keypair):
         with pytest.raises(SignatureError):

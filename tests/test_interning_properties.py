@@ -11,7 +11,7 @@ retains answer tables across queries must drop them the moment its
 knowledge base changes, so a mutated KB can never serve stale answers.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.datalog.knowledge import KnowledgeBase
 from repro.datalog.parser import parse_goals, parse_program, parse_rule
@@ -99,8 +99,18 @@ def test_unify_agrees_across_construction_modes(left_spec, right_spec):
     assert (unify(il, sr) is None) == (interned_result is None)
 
 
+_X, _Y = ("variable", "X"), ("variable", "Y")
+
+
 @settings(max_examples=150, deadline=None)
 @given(term_spec(), term_spec())
+# Pattern and instance share variables.  Swapped positions: matching used
+# to walk X -> Y -> X through its own bindings and never return.  Same
+# names: X meets instance X, then Y; only interned terms, being identical
+# objects, used to skip the first comparison.
+@example(("compound", "f", (_X, _Y)), ("compound", "f", (_Y, _X)))
+@example(("compound", "f", (_X, _Y, _X)), ("compound", "f", (_Y, _X, _Y)))
+@example(("compound", "f", (_X, _X, _X)), ("compound", "f", (_X, _X, _Y)))
 def test_match_and_variant_agree_across_construction_modes(left_spec, right_spec):
     il, ir = build(left_spec), build(right_spec)
     sl, sr = build_uninterned(left_spec), build_uninterned(right_spec)

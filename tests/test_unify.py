@@ -97,6 +97,32 @@ class TestMatch:
         assert match(struct("f", var("X"), var("X")),
                      struct("f", atom("a"), atom("b"))) is None
 
+    def test_shared_variables_in_swapped_positions(self):
+        subst = match(struct("f", var("X"), var("Y")),
+                      struct("f", var("Y"), var("X")))
+        assert subst is not None
+        assert subst.lookup(var("X")) == var("Y")
+        assert subst.lookup(var("Y")) == var("X")
+
+    def test_bound_pattern_variable_is_compared_not_walked(self):
+        # The third X meets instance Y; X's binding (instance Y) is equal.
+        subst = match(struct("f", var("X"), var("Y"), var("X")),
+                      struct("f", var("Y"), var("X"), var("Y")))
+        assert subst is not None and subst.lookup(var("X")) == var("Y")
+        # Instance variables are constants: X bound to Y cannot match Z.
+        assert match(struct("f", var("X"), var("Y"), var("X")),
+                     struct("f", var("Y"), var("X"), var("Z"))) is None
+
+    def test_pattern_variable_meeting_its_own_name(self):
+        # X matches the instance constant X, so it cannot also match Y.
+        assert match(struct("f", var("X"), var("X"), var("X")),
+                     struct("f", var("X"), var("X"), var("Y"))) is None
+        subst = match(struct("f", var("X"), var("Y")),
+                      struct("f", var("X"), atom("a")))
+        assert subst is not None
+        assert subst.resolve(struct("g", var("X"), var("Y"))) == \
+            struct("g", var("X"), atom("a"))
+
 
 class TestVariant:
     def test_renamed_terms_are_variants(self):
