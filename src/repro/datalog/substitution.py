@@ -123,8 +123,23 @@ class Substitution:
         # success/failure, never truthiness.
         return any(True for _ in self.items())
 
+    def _render(self, term: Term, expanding: frozenset = frozenset()) -> Term:
+        """:meth:`resolve` for display: a variable already being expanded
+        on the current path stays a variable, so cyclic bindings
+        (``X → Y, Y → X`` or ``X → f(X)``) render instead of looping."""
+        while isinstance(term, Variable) and term not in expanding:
+            bound = self.lookup(term)
+            if bound is None:
+                return term
+            expanding = expanding | {term}
+            term = bound
+        if isinstance(term, Compound):
+            return Compound(term.functor,
+                            tuple(self._render(a, expanding) for a in term.args))
+        return term
+
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v.name}={self.resolve(v)}" for v, _ in sorted(
+        inner = ", ".join(f"{v.name}={self._render(v)}" for v, _ in sorted(
             self.items(), key=lambda pair: pair[0].name))
         return f"Substitution({{{inner}}})"
 

@@ -414,9 +414,7 @@ class SessionTable:
             session = shard[session_id] = Session(
                 session_id, initiator, max_nesting)
             self._order[session_id] = index
-            if self.persistence is not None:
-                session.persistence = self.persistence
-                self.persistence.session_created(session)
+            session.persistence = self.persistence
             if self.capacity is not None:
                 while len(self._order) > self.capacity:
                     oldest = next(iter(self._order))
@@ -429,11 +427,15 @@ class SessionTable:
     def get(self, session_id: str) -> Optional[Session]:
         return self._shards[self._shard_index(session_id)].get(session_id)
 
-    def forget(self, session_id: str) -> None:
+    def forget(self, session_id: str) -> bool:
+        """Remove a session; True (and ``on_evict`` fired) if it was in
+        the table."""
         index = self._order.pop(session_id, None)
-        if index is not None and self._shards[index].pop(session_id, None) is not None:
-            if self.on_evict is not None:
-                self.on_evict(session_id)
+        if index is None or self._shards[index].pop(session_id, None) is None:
+            return False
+        if self.on_evict is not None:
+            self.on_evict(session_id)
+        return True
 
     def sessions(self) -> Iterator[Session]:
         """Live sessions in global insertion order (recovery walks this)."""

@@ -540,12 +540,12 @@ class Transport:
         ``retain_sessions`` opts into post-hoc inspection via the table) the
         session itself.  Results keep their own reference to the Session
         object, so transcripts stay readable after eviction."""
-        # Purge unconditionally (the hook is idempotent): dedup caches exist
-        # even for sessions that never entered the table.
-        self._on_session_evicted(session_id)
+        # The eviction hook runs exactly once: through the table's
+        # ``on_evict`` when the session leaves it, directly otherwise —
+        # dedup caches exist even for sessions that never entered the table.
+        if self.retain_sessions or not self.sessions.forget(session_id):
+            self._on_session_evicted(session_id)
         _FLIGHTREC.forget(session_id)
-        if not self.retain_sessions:
-            self.sessions.forget(session_id)
 
     def reset_stats(self) -> TransportStats:
         """Swap in fresh counters and return the old ones.  The monotonic

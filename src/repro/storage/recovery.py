@@ -15,7 +15,11 @@ The write-through side
     - replies this peer computed, mirrored from the transport's idempotent
       reply cache (``replies:<sid>``);
     - session metadata (``sessions``), so recovery knows which sessions to
-      re-attach or abort.
+      re-attach or abort.  A peer's store gets a session's row when that
+      peer first holds state in it (overlay created, ledger entry noted,
+      reply cached), so write-through cost grows with the peers in a
+      negotiation, not with the peers on the transport; every session
+      namespace in a store has its row beside it.
 
 The recovery side
     :func:`crash_peer` models process death *in place*: wallet and overlay
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.obs import flightrec as _flightrec
 from repro.obs import metrics as _metrics
@@ -77,6 +80,26 @@ def _dedup_key_str(key: tuple) -> str:
     return json.dumps(list(key))
 
 
+def _hold(store: StateStore, session_id: str, session) -> StateStore:
+    """Return ``store`` after writing ``session_id``'s row into it if this
+    is the first state the store holds for the session.  ``session`` is the
+    live :class:`Session`, or None for one that never entered the table."""
+    if store.get("sessions", session_id) is None:
+        store.put("sessions", session_id, {
+            "initiator": session.initiator if session else None,
+            "max_nesting": session.max_nesting if session else None})
+    return store
+
+
+def _forget_session(store: StateStore, session_id: str) -> None:
+    """Delete a session's row and whichever of its namespaces exist."""
+    store.delete("sessions", session_id)
+    for namespace in (f"overlay:{session_id}", f"ledger:{session_id}",
+                      f"replies:{session_id}"):
+        if namespace in store:
+            store.drop(namespace)
+
+
 @dataclass
 class RecoveryReport:
     """What one :func:`recover_peer` call restored."""
@@ -99,17 +122,23 @@ class RecoveryReport:
 
 class StoreSink:
     """Write-through sink binding one :class:`CredentialStore` to a store
-    namespace (the wallet, or one session overlay)."""
+    namespace: the wallet, or the overlay of ``session``, whose row an
+    addition rewrites if an eviction of the still-retained session
+    deleted it."""
 
-    __slots__ = ("store", "namespace")
+    __slots__ = ("store", "namespace", "session")
 
-    def __init__(self, store: StateStore, namespace: str) -> None:
+    def __init__(self, store: StateStore, namespace: str,
+                 session=None) -> None:
         self.store = store
         self.namespace = namespace
+        self.session = session
 
     def added(self, credential) -> None:
         from repro.storage.codec import credential_to_dict
 
+        if self.session is not None:
+            _hold(self.store, self.session.id, self.session)
         self.store.put(self.namespace, credential.serial,
                        credential_to_dict(credential))
 
@@ -120,59 +149,63 @@ class StoreSink:
 class SessionPersistence:
     """The transport-side persistence hooks: installed on the
     :class:`~repro.negotiation.session.SessionTable` once any peer has a
-    store attached, consulted by sessions as state-bearing events happen."""
+    store attached, consulted by sessions as state-bearing events happen.
+    Each hook writes only to the stores of the peers that hold the state."""
 
     def __init__(self, transport) -> None:
         self.transport = transport
 
-    def _store_for(self, peer_name: str) -> Optional[StateStore]:
-        return self.transport.state_stores.get(peer_name)
-
-    def session_created(self, session) -> None:
-        meta = {"initiator": session.initiator,
-                "max_nesting": session.max_nesting}
-        for store in self.transport.state_stores.values():
-            store.put("sessions", session.id, meta)
-
     def overlay_created(self, session, peer_name: str, overlay) -> None:
-        store = self._store_for(peer_name)
+        store = self.transport.state_stores.get(peer_name)
         if store is not None:
-            overlay.bind_sink(StoreSink(store, f"overlay:{session.id}"),
-                              replay=True)
+            _bind_overlay(_hold(store, session.id, session), session,
+                          overlay, replay=True)
 
     def ledger_noted(self, session, sender: str, receiver: str,
                      serial: str) -> None:
         key = _ledger_key(sender, receiver, serial)
         for name in (sender, receiver):
-            store = self._store_for(name)
+            store = self.transport.state_stores.get(name)
             if store is not None:
-                store.put(f"ledger:{session.id}", key, True)
+                _hold(store, session.id, session).put(
+                    f"ledger:{session.id}", key, True)
 
     def credential_purged(self, session, serial: str) -> None:
         # Overlay removal propagates through each overlay's own sink; the
         # ledger entries need an explicit sweep.
+        namespace = f"ledger:{session.id}"
         for store in self.transport.state_stores.values():
-            namespace = f"ledger:{session.id}"
+            if store.get("sessions", session.id) is None:
+                continue
             for key in list(store.items(namespace)):
                 if json.loads(key)[2] == serial:
                     store.delete(namespace, key)
 
     def reply_cached(self, message, reply) -> None:
-        store = self._store_for(message.receiver)
+        store = self.transport.state_stores.get(message.receiver)
         if store is not None:
-            from repro.storage.codec import message_to_dict
-
-            store.put(f"replies:{message.session_id}",
-                      _dedup_key_str(message.dedup_key),
-                      message_to_dict(reply))
+            _put_reply(store, message.session_id,
+                       self.transport.sessions.get(message.session_id),
+                       message.dedup_key, reply)
 
     def session_evicted(self, session_id: str) -> None:
         for store in self.transport.state_stores.values():
-            store.delete("sessions", session_id)
-            for namespace in (f"overlay:{session_id}",
-                              f"ledger:{session_id}",
-                              f"replies:{session_id}"):
-                store.drop(namespace)
+            if store.get("sessions", session_id) is not None:
+                _forget_session(store, session_id)
+
+
+def _bind_overlay(store: StateStore, session, overlay, replay: bool) -> None:
+    overlay.bind_sink(StoreSink(store, f"overlay:{session.id}", session),
+                      replay=replay)
+
+
+def _put_reply(store: StateStore, session_id: str, session, dedup_key: tuple,
+               reply) -> None:
+    from repro.storage.codec import message_to_dict
+
+    _hold(store, session_id, session).put(
+        f"replies:{session_id}", _dedup_key_str(dedup_key),
+        message_to_dict(reply))
 
 
 # ---------------------------------------------------------------------------
@@ -182,32 +215,27 @@ class SessionPersistence:
 def bind_peer(transport, peer_name: str, store: StateStore) -> None:
     """Start write-through persistence for ``peer_name``; called by
     :meth:`Transport.attach_state_store`.  Existing state (wallet contents,
-    live-session overlays and ledgers) is snapshotted into the store so
-    attach-mid-run is safe."""
+    live-session overlays, ledgers and cached replies) is snapshotted into
+    the store so attach-mid-run is safe; as on the write-through path, only
+    sessions the peer holds state in get a row."""
     peer = transport.registry.get(peer_name)
     peer.credentials.bind_sink(StoreSink(store, "wallet"), replay=True)
-    persistence = transport.sessions.persistence
     for session in transport.sessions.sessions():
-        store.put("sessions", session.id,
-                  {"initiator": session.initiator,
-                   "max_nesting": session.max_nesting})
         overlay = session._received.get(peer_name)
         if overlay is not None:
-            overlay.bind_sink(StoreSink(store, f"overlay:{session.id}"),
-                              replay=True)
+            _bind_overlay(_hold(store, session.id, session), session,
+                          overlay, replay=True)
         for (sender, receiver), serials in session._wire_ledger.items():
             if peer_name in (sender, receiver):
                 for serial in serials:
-                    store.put(f"ledger:{session.id}",
-                              _ledger_key(sender, receiver, serial), True)
-    if persistence is not None:
-        from repro.storage.codec import message_to_dict
-
-        for session_id, cache in transport._reply_cache.items():
-            for key, reply in cache.items():
-                if key[1] == peer_name:
-                    store.put(f"replies:{session_id}", _dedup_key_str(key),
-                              message_to_dict(reply))
+                    _hold(store, session.id, session).put(
+                        f"ledger:{session.id}",
+                        _ledger_key(sender, receiver, serial), True)
+    for session_id, cache in transport._reply_cache.items():
+        for key, reply in cache.items():
+            if key[1] == peer_name:
+                _put_reply(store, session_id,
+                           transport.sessions.get(session_id), key, reply)
 
 
 def crash_peer(transport, peer_name: str) -> None:
@@ -288,11 +316,7 @@ def recover_peer(transport, peer_name: str) -> RecoveryReport:
                 # it forward forever.
                 report.sessions_aborted += 1
                 RECOVERED_SESSIONS.labels("aborted").inc()
-                store.delete("sessions", session_id)
-                for namespace in (f"overlay:{session_id}",
-                                  f"ledger:{session_id}",
-                                  f"replies:{session_id}"):
-                    store.drop(namespace)
+                _forget_session(store, session_id)
                 continue
             report.sessions_reattached += 1
             RECOVERED_SESSIONS.labels("reattached").inc()
@@ -304,8 +328,7 @@ def recover_peer(transport, peer_name: str) -> RecoveryReport:
                 if overlay.add(credential):
                     report.overlays += 1
                 live.mark_holder(credential.serial, peer_name)
-            overlay.bind_sink(StoreSink(store, f"overlay:{session_id}"),
-                              replay=False)
+            _bind_overlay(store, live, overlay, replay=False)
 
             for key in store.items(f"ledger:{session_id}"):
                 sender, receiver, serial = json.loads(key)

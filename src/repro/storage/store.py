@@ -13,7 +13,8 @@ Two backends:
   crash-recovery tests need to separate *protocol* correctness from disk
   formats.
 - :class:`DurableStore` — an append-only JSONL journal plus a snapshot
-  file in a directory.  Every mutation appends one journal record;
+  file in a directory.  Every mutation appends one journal record through
+  one held append handle, flushed to the OS before the mutation returns;
   :meth:`DurableStore.checkpoint` collapses journal + snapshot into a new
   snapshot written atomically (temp file + ``os.replace``, see
   :mod:`repro.storage.atomic`) and truncates the journal.  Opening a store
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
@@ -110,6 +112,10 @@ class StateStore:
     def namespaces(self) -> list[str]:
         return list(self._data)
 
+    def __contains__(self, namespace: str) -> bool:
+        """Whether ``namespace`` holds at least one key."""
+        return namespace in self._data
+
     def snapshot(self) -> dict[str, dict[str, Any]]:
         return {ns: dict(bucket) for ns, bucket in self._data.items()}
 
@@ -161,6 +167,12 @@ class DurableStore(StateStore):
     an undecodable *trailing* line is a torn append from a crash and is
     dropped (counted in ``recovered``), while a corrupt line *followed by
     valid ones* indicates real damage and raises :class:`StorageError`.
+
+    The journal is appended through one handle, opened on the first write
+    and flushed after every record, so a process crash loses no record
+    that ``put`` returned from.  :meth:`checkpoint` closes it before the
+    journal is replaced; :meth:`close`, :meth:`destroy` and garbage
+    collection of an abandoned store close it too.
     """
 
     backend = "durable"
@@ -177,6 +189,8 @@ class DurableStore(StateStore):
         # trailing lines discarded.  Recovery observability reads these.
         self.recovered = {"journal_records": 0, "torn_lines": 0,
                           "from_snapshot": False}
+        self._handle = None
+        self._release_handle = None  # weakref.finalize closing _handle
         self._load()
 
     # -- open-time recovery ----------------------------------------------------
@@ -244,14 +258,27 @@ class DurableStore(StateStore):
             record["value"] = value
         elif op == "restore":
             record["value"] = self.snapshot()
-        with open(self._journal_path, "a") as handle:
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self._journal_path, "a",
+                                         encoding="utf-8")
+            self._release_handle = weakref.finalize(self, handle.close)
+        handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        handle.flush()
+
+    def _close_journal(self) -> None:
+        if self._release_handle is not None:
+            self._release_handle()
+            self._handle = self._release_handle = None
 
     def checkpoint(self) -> None:
         """Collapse journal + snapshot into a fresh snapshot, atomically,
         then truncate the journal.  Crash-safe at every step: the snapshot
         replace is atomic, and until the truncate lands the journal merely
-        replays mutations the snapshot already contains (idempotent)."""
+        replays mutations the snapshot already contains (idempotent).  The
+        append handle is closed first; the next write reopens the new
+        journal."""
+        self._close_journal()
         atomic_write_text(self._snapshot_path,
                           json.dumps(self._data, separators=(",", ":"),
                                      sort_keys=True))

@@ -15,6 +15,7 @@ from repro import World, negotiate, parse_literal
 from repro.errors import StorageError
 from repro.negotiation.session import SessionTable
 from repro.net.message import QueryMessage
+from repro.net.transport import Transport
 from repro.storage import (
     DurableStore,
     MemoryStore,
@@ -35,13 +36,15 @@ from repro.storage.recovery import (
 KEY_BITS = 512
 
 
-def _quickstart():
+def _quickstart(*bystanders: str):
     world = World(key_bits=KEY_BITS)
     world.add_peer("Server",
                    'hello(Requester) $ true <- '
                    'friend(Requester) @ "CA" @ Requester.')
     client = world.add_peer(
         "Client", 'friend(X) @ Y $ true <-{true} friend(X) @ Y.')
+    for name in bystanders:
+        world.add_peer(name)
     world.issuer("CA")
     world.distribute_keys()
     world.give_credentials("Client", 'friend("Client") signedBy ["CA"].')
@@ -200,6 +203,48 @@ class TestDurableRecovery:
         store.destroy()
         assert not (tmp_path / "peer").exists()
 
+    def test_live_store_records_are_visible_to_a_second_opener(
+            self, tmp_path):
+        store = DurableStore(tmp_path / "peer")
+        store.put("wallet", "s1", {"x": 1})
+        store.put("overlay:s", "s2", {"x": 2})
+        store.delete("wallet", "s1")
+        assert DurableStore(tmp_path / "peer").snapshot() == store.snapshot()
+        store.put("wallet", "s3", {"x": 3})
+        assert DurableStore(tmp_path / "peer").snapshot() == store.snapshot()
+
+    def test_writes_after_checkpoint_land_in_the_new_journal(self, tmp_path):
+        store = DurableStore(tmp_path / "peer")
+        store.put("wallet", "s1", {"x": 1})
+        store.checkpoint()
+        store.put("wallet", "s2", {"x": 2})
+        store.delete("wallet", "s1")
+        journal = (tmp_path / "peer" / "journal.jsonl").read_text()
+        assert [json.loads(line)["op"] for line in journal.splitlines()] == \
+            ["put", "del"]
+        reopened = DurableStore(tmp_path / "peer")
+        assert reopened.recovered["from_snapshot"]
+        assert reopened.recovered["journal_records"] == 2
+        assert reopened.snapshot() == {"wallet": {"s2": {"x": 2}}}
+
+    def test_close_and_destroy_release_the_journal_handle(self, tmp_path):
+        for name, finish in (("closed", DurableStore.close),
+                             ("destroyed", DurableStore.destroy)):
+            store = DurableStore(tmp_path / name)
+            store.put("wallet", "s1", {"x": 1})
+            handle = store._handle
+            assert not handle.closed
+            finish(store)
+            assert handle.closed
+            assert store._handle is None
+
+    def test_abandoned_store_closes_its_journal_handle(self, tmp_path):
+        store = DurableStore(tmp_path / "peer")
+        store.put("wallet", "s1", {"x": 1})
+        handle = store._handle
+        del store
+        assert handle.closed
+
     def test_checkpoint_is_deterministic_bytes(self, tmp_path):
         texts = []
         for name in ("a", "b"):
@@ -349,6 +394,25 @@ class TestShardedSessionTable:
         assert evicted == ["s1"]
         assert len(table) == 0
 
+    @pytest.mark.parametrize("in_table, retain", [
+        (True, False), (False, False), (True, True)])
+    def test_release_runs_the_eviction_hook_once(self, monkeypatch,
+                                                 in_table, retain):
+        evicted = []
+        original = Transport._on_session_evicted
+
+        def counting(transport, session_id):
+            evicted.append(session_id)
+            original(transport, session_id)
+
+        monkeypatch.setattr(Transport, "_on_session_evicted", counting)
+        transport = Transport(retain_sessions=retain)
+        if in_table:
+            transport.sessions.get_or_create("s1", "A")
+        transport.release_session("s1")
+        assert evicted == ["s1"]
+        assert (transport.sessions.get("s1") is not None) == retain
+
     def test_sessions_iterates_in_insertion_order(self):
         table = SessionTable()
         for name in ("zz", "aa", "mm"):
@@ -447,6 +511,89 @@ class TestCrashRecovery:
         stores = attach_stores(world)
         result = negotiate(client, "Server", parse_literal('hello("Client")'))
         assert result.granted
+        for store in stores.values():
+            assert stale_session_namespaces(store) == []
+            assert store.items("sessions") == {}
+
+    def test_bystander_store_is_untouched_by_a_negotiation(
+            self, attach_stores):
+        world, client = _quickstart("Bystander")
+        world.give_credentials("Bystander",
+                               'friend("Bystander") signedBy ["CA"].')
+        stores = attach_stores(world, backend="durable")
+        bystander = stores["Bystander"]
+        keys_before = len(bystander)
+        journal_before = bystander._journal_path.stat().st_size
+        result = negotiate(client, "Server", parse_literal('hello("Client")'))
+        assert result.granted
+        assert len(bystander) == keys_before
+        assert bystander._journal_path.stat().st_size == journal_before
+
+    def test_session_rows_name_only_the_peers_holding_state(
+            self, attach_stores):
+        world, _ = _quickstart("Bystander")
+        stores = attach_stores(world)
+        session = world.transport.sessions.get_or_create("rows", "Client")
+        assert all(store.items("sessions") == {} for store in stores.values())
+        session.note_wire_disclosure("Client", "Server", "serial-1")
+        assert {name for name, store in stores.items()
+                if store.get("sessions", "rows") is not None} == \
+            {"Client", "Server"}
+
+    def test_empty_overlay_is_reattached_and_keeps_writing_through(
+            self, attach_stores):
+        world, _ = _quickstart()
+        stores = attach_stores(world)
+        transport = world.transport
+        session = transport.sessions.get_or_create("empty", "Client")
+        session.received_for("Server")
+        assert stores["Server"].get("sessions", "empty") is not None
+        assert stores["Client"].get("sessions", "empty") is None
+        report = restart_peer(transport, "Server")
+        assert report.sessions_reattached == 1
+        credential = world.credential('friend("Client") signedBy ["CA"].')
+        session.received_for("Server").add(credential)
+        assert stores["Server"].get("overlay:empty",
+                                    credential.serial) is not None
+
+    def test_credential_purge_touches_only_holding_stores(
+            self, attach_stores, monkeypatch):
+        world, _ = _quickstart("Bystander")
+        stores = attach_stores(world)
+        session = world.transport.sessions.get_or_create("purge", "Client")
+        session.note_wire_disclosure("Client", "Server", "serial-1")
+        touched = set()
+        for name, store in stores.items():
+            for method in ("items", "put", "delete", "drop"):
+                original = getattr(store, method)
+
+                def recording(*args, _name=name, _original=original):
+                    touched.add(_name)
+                    return _original(*args)
+
+                monkeypatch.setattr(store, method, recording)
+        session.purge_credential("serial-1")
+        assert touched == {"Client", "Server"}
+        assert not session.wire_disclosed("Client", "Server", "serial-1")
+        for name in ("Client", "Server"):
+            assert stores[name].items("ledger:purge") == {}
+
+    def test_release_drops_replies_of_a_session_outside_the_table(
+            self, attach_stores):
+        world, _ = _quickstart()
+        stores = attach_stores(world)
+        transport = world.transport
+        goal = parse_literal('friend(X) @ "CA"')
+        reply = transport.request(QueryMessage(
+            sender="Client", receiver="Server", session_id="inside",
+            goal=goal))
+        transport.release_session("inside")
+        transport._cache_reply(QueryMessage(
+            sender="Client", receiver="Server", session_id="outside",
+            goal=goal), reply)
+        assert transport.sessions.get("outside") is None
+        assert "replies:outside" in stores["Server"]
+        transport.release_session("outside")
         for store in stores.values():
             assert stale_session_namespaces(store) == []
             assert store.items("sessions") == {}

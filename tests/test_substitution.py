@@ -104,3 +104,13 @@ class TestFlattening:
 def test_repr_lists_resolved_bindings():
     subst = Substitution.empty().bind(var("X"), var("Y")).bind(var("Y"), atom("a"))
     assert "X=a" in repr(subst)
+
+
+def test_repr_terminates_on_a_variable_cycle():
+    subst = Substitution({var("X"): var("Y")}).bind(var("Y"), var("X"))
+    assert repr(subst) == "Substitution({X=X, Y=Y})"
+
+
+def test_repr_terminates_on_an_occurs_check_cycle():
+    subst = Substitution.empty().bind(var("X"), struct("f", var("X")))
+    assert repr(subst) == "Substitution({X=f(X)})"
